@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 
+#include "common/hash.h"
 #include "common/timer.h"
 #include "engine/maintenance_scheduler.h"
 #include "model/concurrent_model.h"
@@ -29,6 +31,10 @@ MlqConfig CatalogModelConfig(int64_t memory_limit_bytes, int64_t beta) {
   return config;
 }
 
+// Index slots in a fresh catalog: room for 32 UDFs before the first
+// doubling.
+constexpr size_t kInitialIndexCapacity = 64;
+
 }  // namespace
 
 // RAII marker for "a maintenance epoch or feedback flush is running".
@@ -53,7 +59,75 @@ CostCatalog::CostCatalog(int64_t memory_limit_bytes,
                          CatalogConcurrency concurrency, int num_shards)
     : memory_limit_bytes_(memory_limit_bytes),
       concurrency_(concurrency),
-      num_shards_(std::max(num_shards, 1)) {}
+      num_shards_(std::max(num_shards, 1)) {
+  index_tables_.push_back(std::make_unique<IndexTable>(kInitialIndexCapacity));
+  index_.store(index_tables_.back().get(), std::memory_order_release);
+}
+
+CostCatalog::IndexTable::IndexTable(size_t capacity)
+    : mask(capacity - 1), slots(std::make_unique<IndexSlot[]>(capacity)) {
+  assert(capacity > 0 && (capacity & mask) == 0);
+}
+
+CostCatalog::IndexSlot& CostCatalog::IndexTable::Probe(
+    const CostedUdf* udf) const {
+  for (size_t i = Mix64(reinterpret_cast<uintptr_t>(udf)) & mask;;
+       i = (i + 1) & mask) {
+    const CostedUdf* key = slots[i].udf.load(std::memory_order_acquire);
+    if (key == udf || key == nullptr) return slots[i];
+  }
+}
+
+CostCatalog::Entry* CostCatalog::Lookup(const CostedUdf* udf) const {
+  // Acquire pairs with PublishLocked's release stores: a reader that sees
+  // a table sees every slot copied into it, and a reader that sees a key
+  // or entry pointer sees the fully built entry behind it.
+  const IndexSlot& slot = index_.load(std::memory_order_acquire)->Probe(udf);
+  // Re-read the key: the probe may have ended on an empty slot that a
+  // writer has since filled, possibly with another UDF.
+  if (slot.udf.load(std::memory_order_acquire) != udf) return nullptr;
+  return slot.entry.load(std::memory_order_acquire);
+}
+
+void CostCatalog::PublishLocked(const CostedUdf* udf, Entry* entry) {
+  IndexTable* table = index_.load(std::memory_order_relaxed);
+  IndexSlot* slot = &table->Probe(udf);
+  if (slot->udf.load(std::memory_order_relaxed) == udf) {
+    // Evict or reload. Retired tables that hold the key get the new
+    // pointer too: a reader still probing one must not return an entry
+    // after eviction has freed it.
+    for (const auto& t : index_tables_) {
+      IndexSlot& s = t->Probe(udf);
+      if (s.udf.load(std::memory_order_relaxed) == udf) {
+        s.entry.store(entry, std::memory_order_release);
+      }
+    }
+    return;
+  }
+  assert(entry != nullptr);  // Only an indexed UDF is ever evicted.
+  if (2 * (index_keys_ + 1) > table->capacity()) {
+    // Double, copying every key (tombstones included), and publish the new
+    // table only once it is complete. Readers still probing the old table
+    // may miss keys added from now on; For() re-probes under the lock.
+    auto grown = std::make_unique<IndexTable>(2 * table->capacity());
+    for (size_t i = 0; i < table->capacity(); ++i) {
+      const IndexSlot& from = table->slots[i];
+      const CostedUdf* key = from.udf.load(std::memory_order_relaxed);
+      if (key == nullptr) continue;
+      IndexSlot& to = grown->Probe(key);
+      to.entry.store(from.entry.load(std::memory_order_relaxed),
+                     std::memory_order_relaxed);
+      to.udf.store(key, std::memory_order_relaxed);
+    }
+    table = grown.get();
+    index_tables_.push_back(std::move(grown));
+    index_.store(table, std::memory_order_release);
+    slot = &table->Probe(udf);
+  }
+  slot->entry.store(entry, std::memory_order_relaxed);
+  slot->udf.store(udf, std::memory_order_release);
+  ++index_keys_;
+}
 
 std::unique_ptr<CostModel> CostCatalog::MakeModel(const Box& space,
                                                   int64_t beta) {
@@ -137,6 +211,7 @@ CostCatalog::Entry& CostCatalog::For(CostedUdf* udf) {
 
 CostCatalog::Entry& CostCatalog::For(CostedUdf* udf, std::string_view tenant) {
   assert(udf != nullptr);
+  if (Entry* entry = Lookup(udf)) return *entry;
   std::unique_lock<std::mutex> lock(entries_mutex_, std::defer_lock);
   if (concurrency_ != CatalogConcurrency::kSingleThread) lock.lock();
   return ForLocked(udf, tenant);
@@ -144,10 +219,11 @@ CostCatalog::Entry& CostCatalog::For(CostedUdf* udf, std::string_view tenant) {
 
 CostCatalog::Entry& CostCatalog::ForLocked(CostedUdf* udf,
                                            std::string_view tenant) {
-  for (auto& entry : entries_) {
-    if (entry->udf == udf) return *entry;
-  }
+  // Another thread may have registered or reloaded the UDF between the
+  // caller's lock-free miss and taking the lock.
+  if (Entry* entry = Lookup(udf)) return *entry;
   const Box space = udf->model_space();
+  std::unique_ptr<Entry> entry;
 
   // Reload path: the governor evicted this UDF; rebuild its entry from the
   // serialized snapshot so predictions resume bit-identically.
@@ -156,9 +232,10 @@ CostCatalog::Entry& CostCatalog::ForLocked(CostedUdf* udf,
     auto cpu = MakeModelFromImage(snap.cpu_image, space.dims());
     auto io = MakeModelFromImage(snap.io_image, space.dims());
     auto sel = MakeModelFromImage(snap.selectivity_image, space.dims());
+    // A malformed snapshot falls through to a fresh entry: serving
+    // correctness beats preserving a corrupt image.
     if (cpu != nullptr && io != nullptr && sel != nullptr) {
-      const double image_bytes = static_cast<double>(snap.ImageBytes());
-      auto entry = std::make_unique<Entry>();
+      entry = std::make_unique<Entry>();
       entry->udf = udf;
       entry->tenant = std::move(snap.tenant);
       entry->cpu_model = std::move(cpu);
@@ -169,40 +246,35 @@ CostCatalog::Entry& CostCatalog::ForLocked(CostedUdf* udf,
       entry->windowed = snap.windowed;
       entry->cost_detector = snap.cost_detector;
       entry->selectivity_detector = snap.selectivity_detector;
-      evicted_.erase(it);
-      entries_.push_back(std::move(entry));
       if (obs::Enabled()) {
         obs::Core().governor_reloads.Inc();
         obs::GlobalEventLog().Append(obs::EventKind::kModelReload,
-                                     udf->name(), image_bytes);
+                                     udf->name(),
+                                     static_cast<double>(snap.ImageBytes()));
       }
-      return *entries_.back();
     }
-    // A malformed snapshot falls through to a fresh entry: serving
-    // correctness beats preserving a corrupt image.
     evicted_.erase(it);
   }
 
-  auto entry = std::make_unique<Entry>();
-  entry->udf = udf;
-  entry->tenant = std::string(tenant);
-  entry->cpu_model = MakeModel(space, /*beta=*/1);
-  entry->io_model = MakeModel(space, /*beta=*/10);
-  entry->selectivity_model = MakeModel(space, /*beta=*/5);
-  entry->budget_bytes = 3 * memory_limit_bytes_;
+  if (entry == nullptr) {
+    entry = std::make_unique<Entry>();
+    entry->udf = udf;
+    entry->tenant = std::string(tenant);
+    entry->cpu_model = MakeModel(space, /*beta=*/1);
+    entry->io_model = MakeModel(space, /*beta=*/10);
+    entry->selectivity_model = MakeModel(space, /*beta=*/5);
+    entry->budget_bytes = 3 * memory_limit_bytes_;
+    obs::GlobalEventLog().Append(obs::EventKind::kModelLoad, udf->name(),
+                                 static_cast<double>(memory_limit_bytes_));
+  }
+  Entry& resident = *entry;
   entries_.push_back(std::move(entry));
-  obs::GlobalEventLog().Append(obs::EventKind::kModelLoad, udf->name(),
-                               static_cast<double>(memory_limit_bytes_));
-  return *entries_.back();
+  PublishLocked(udf, &resident);
+  return resident;
 }
 
 const CostCatalog::Entry* CostCatalog::Find(const CostedUdf* udf) const {
-  std::unique_lock<std::mutex> lock(entries_mutex_, std::defer_lock);
-  if (concurrency_ != CatalogConcurrency::kSingleThread) lock.lock();
-  for (const auto& entry : entries_) {
-    if (entry->udf == udf) return entry.get();
-  }
-  return nullptr;
+  return Lookup(udf);
 }
 
 void CostCatalog::RecordExecution(CostedUdf* udf, const Point& model_point,
@@ -727,21 +799,18 @@ std::vector<obs::ModelHealth> CostCatalog::ReadModelHealth(
 bool CostCatalog::SetEntryByteBudget(CostedUdf* udf, int64_t entry_bytes) {
   std::unique_lock<std::mutex> lock(entries_mutex_, std::defer_lock);
   if (concurrency_ != CatalogConcurrency::kSingleThread) lock.lock();
-  for (auto& entry : entries_) {
-    if (entry->udf != udf) continue;
-    // Even three-way split; each model keeps at least the root's charge so
-    // every budget is enforceable. Same lock order as the maintenance
-    // epochs: entries_mutex_, then each model's own synchronization
-    // (inside SetByteBudget).
-    const int64_t per_model =
-        std::max<int64_t>(entry_bytes / 3, kNodeBaseBytes);
-    entry->cpu_model->SetByteBudget(per_model);
-    entry->io_model->SetByteBudget(per_model);
-    entry->selectivity_model->SetByteBudget(per_model);
-    entry->budget_bytes = entry_bytes;
-    return true;
-  }
-  return false;
+  Entry* entry = Lookup(udf);
+  if (entry == nullptr) return false;
+  // Even three-way split; each model keeps at least the root's charge so
+  // every budget is enforceable. Same lock order as the maintenance
+  // epochs: entries_mutex_, then each model's own synchronization (inside
+  // SetByteBudget).
+  const int64_t per_model = std::max<int64_t>(entry_bytes / 3, kNodeBaseBytes);
+  entry->cpu_model->SetByteBudget(per_model);
+  entry->io_model->SetByteBudget(per_model);
+  entry->selectivity_model->SetByteBudget(per_model);
+  entry->budget_bytes = entry_bytes;
+  return true;
 }
 
 bool CostCatalog::EvictEntry(CostedUdf* udf) {
@@ -749,38 +818,40 @@ bool CostCatalog::EvictEntry(CostedUdf* udf) {
   BusyScope busy(*this);
   std::unique_lock<std::mutex> lock(entries_mutex_, std::defer_lock);
   if (concurrency_ != CatalogConcurrency::kSingleThread) lock.lock();
-  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    Entry& entry = **it;
-    if (entry.udf != udf) continue;
-    // Queued feedback (none in the evictable modes today, but Flush is the
-    // documented quiesce step) must land in the trees before they are
-    // imaged.
-    FlushEntry(entry);
-    EvictedEntry snap;
-    snap.tenant = entry.tenant;
-    snap.budget_bytes = entry.budget_bytes;
-    snap.traffic = entry.traffic.load(std::memory_order_relaxed);
-    snap.cpu_image = SerializeQuadtree(BareModel(entry.cpu_model.get())->tree());
-    snap.io_image = SerializeQuadtree(BareModel(entry.io_model.get())->tree());
-    snap.selectivity_image =
-        SerializeQuadtree(BareModel(entry.selectivity_model.get())->tree());
-    {
-      std::lock_guard<std::mutex> windowed_lock(entry.windowed_mutex);
-      snap.windowed = entry.windowed;
-      snap.cost_detector = entry.cost_detector;
-      snap.selectivity_detector = entry.selectivity_detector;
-    }
-    if (obs::Enabled()) {
-      obs::Core().governor_evictions.Inc();
-      obs::GlobalEventLog().Append(obs::EventKind::kModelEvict, udf->name(),
-                                   static_cast<double>(snap.ImageBytes()),
-                                   static_cast<double>(snap.traffic));
-    }
-    evicted_[udf] = std::move(snap);
-    entries_.erase(it);
-    return true;
+  Entry* const found = Lookup(udf);
+  if (found == nullptr) return false;
+  Entry& entry = *found;
+  // Queued feedback (none in the evictable modes today, but Flush is the
+  // documented quiesce step) must land in the trees before they are
+  // imaged.
+  FlushEntry(entry);
+  EvictedEntry snap;
+  snap.tenant = entry.tenant;
+  snap.budget_bytes = entry.budget_bytes;
+  snap.traffic = entry.traffic.load(std::memory_order_relaxed);
+  snap.cpu_image = SerializeQuadtree(BareModel(entry.cpu_model.get())->tree());
+  snap.io_image = SerializeQuadtree(BareModel(entry.io_model.get())->tree());
+  snap.selectivity_image =
+      SerializeQuadtree(BareModel(entry.selectivity_model.get())->tree());
+  {
+    std::lock_guard<std::mutex> windowed_lock(entry.windowed_mutex);
+    snap.windowed = entry.windowed;
+    snap.cost_detector = entry.cost_detector;
+    snap.selectivity_detector = entry.selectivity_detector;
   }
-  return false;
+  if (obs::Enabled()) {
+    obs::Core().governor_evictions.Inc();
+    obs::GlobalEventLog().Append(obs::EventKind::kModelEvict, udf->name(),
+                                 static_cast<double>(snap.ImageBytes()),
+                                 static_cast<double>(snap.traffic));
+  }
+  evicted_[udf] = std::move(snap);
+  // Tombstone the index slot before the entry is destroyed.
+  PublishLocked(udf, nullptr);
+  entries_.erase(std::find_if(
+      entries_.begin(), entries_.end(),
+      [found](const std::unique_ptr<Entry>& e) { return e.get() == found; }));
+  return true;
 }
 
 int CostCatalog::evicted_count() const {

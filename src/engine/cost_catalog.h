@@ -2,6 +2,7 @@
 #define MLQ_ENGINE_COST_CATALOG_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -145,14 +146,16 @@ class CostCatalog {
 
   // Lazily creates the entry for a UDF (tenant "default"), or — when the
   // UDF was evicted by the governor — restores it from its snapshot.
-  // Thread-safe in concurrent modes.
+  // Thread-safe in concurrent modes. A resident UDF resolves through a
+  // lock-free hashed index; only a miss (first registration or reload)
+  // takes entries_mutex_.
   Entry& For(CostedUdf* udf);
   // Same, registering the UDF under an explicit tenant id. The tenant is
   // fixed at first registration; later calls (with any tenant) return the
   // existing entry unchanged.
   Entry& For(CostedUdf* udf, std::string_view tenant);
   // Read-only lookup; nullptr if the UDF has never been registered or is
-  // currently evicted (Find never triggers a reload).
+  // currently evicted (Find never triggers a reload). Lock-free.
   const Entry* Find(const CostedUdf* udf) const;
 
   // Records one execution outcome for the UDF at the given model point.
@@ -289,7 +292,8 @@ class CostCatalog {
   // Re-targets one entry's TOTAL byte budget: each of the entry's three
   // models is resized to max(entry_bytes / 3, kNodeBaseBytes), triggering
   // an eviction-compression pass when shrinking. Returns false when the
-  // UDF has no resident entry. Thread-safe in the concurrent modes (same
+  // UDF has no resident entry. O(1) lookup, so a rebalance that changes k
+  // budgets costs O(n + k). Thread-safe in the concurrent modes (same
   // lock order as the maintenance epochs: entries_mutex_, then the models'
   // own synchronization).
   bool SetEntryByteBudget(CostedUdf* udf, int64_t entry_bytes);
@@ -357,6 +361,39 @@ class CostCatalog {
     }
   };
 
+  // Open-addressing (linear probing) index from UDF to resident entry.
+  // Readers probe it without any lock; writers (registration, reload,
+  // eviction, growth) are serialized by entries_mutex_. A key, once
+  // inserted, is never removed or moved within its table: eviction leaves
+  // a tombstone (key kept, entry cleared) that a reload fills again. Load
+  // factor stays at most 1/2, so every probe sequence reaches an empty
+  // slot.
+  struct IndexSlot {
+    std::atomic<const CostedUdf*> udf{nullptr};
+    std::atomic<Entry*> entry{nullptr};
+  };
+  struct IndexTable {
+    explicit IndexTable(size_t capacity);
+    size_t capacity() const { return mask + 1; }
+    // The slot holding `udf`, or the empty slot that ends its probe
+    // sequence (which a concurrent writer may fill at any moment).
+    IndexSlot& Probe(const CostedUdf* udf) const;
+
+    const size_t mask;  // capacity - 1; capacity is a power of two.
+    const std::unique_ptr<IndexSlot[]> slots;
+  };
+
+  // Lock-free probe of the published table: the resident entry, or
+  // nullptr for an unknown or evicted UDF.
+  Entry* Lookup(const CostedUdf* udf) const;
+
+  // Points `udf`'s index slots (in the published table and in every
+  // retired table that holds the key) at `entry` (nullptr = evicted),
+  // inserting the key — and doubling the table first when it would pass
+  // half full — if it is new. Caller holds entries_mutex_ in the
+  // concurrent modes.
+  void PublishLocked(const CostedUdf* udf, Entry* entry);
+
   // Wraps a freshly configured MLQ model according to concurrency_.
   std::unique_ptr<CostModel> MakeModel(const Box& space, int64_t beta);
 
@@ -369,7 +406,9 @@ class CostCatalog {
   // built every model, so the wrapping is known). Null in kSharded mode.
   const MlqModel* BareModel(const CostModel* model) const;
 
-  // For(udf, tenant) body with entries_mutex_ already held as required.
+  // Miss path of For(udf, tenant): re-probes the index, then reloads or
+  // registers the entry and publishes it. Caller holds entries_mutex_ in
+  // the concurrent modes.
   Entry& ForLocked(CostedUdf* udf, std::string_view tenant);
 
   // Folds one execution outcome into the entry's windowed EWMAs and feeds
@@ -404,10 +443,26 @@ class CostCatalog {
   // Summary half-life applied to models created from now on (guarded by
   // entries_mutex_ in the concurrent modes, like entries_).
   double model_decay_half_life_ = 0.0;
-  // Guards entries_ and arenas_ (lookup + lazy creation) in the concurrent
-  // modes; the models themselves carry their own synchronization.
+  // Serializes, in the concurrent modes, every writer of the catalog's
+  // structure: index writers (registration, reload, eviction, growth),
+  // entries_, evicted_, arenas_, model_decay_half_life_ and each
+  // Entry::budget_bytes; plus the whole-catalog walks (maintenance
+  // epochs, decay, health and signal reads, flushes), so no entry appears
+  // or disappears under them. Lookups that hit the index do not take it.
+  // The models themselves carry their own synchronization.
   mutable std::mutex entries_mutex_;
+  // Resident entries in registration order (a reload re-appends).
   std::vector<std::unique_ptr<Entry>> entries_;
+  // The table readers probe. Acquire-loaded by readers; release-stored by
+  // the writer that grows the index.
+  std::atomic<IndexTable*> index_;
+  // Every table the index has used, the published one last. A grown-out
+  // table stays allocated until the catalog is destroyed, so a reader
+  // still probing it never touches freed memory; capacities double, so
+  // the retired tables together are smaller than the live one.
+  std::vector<std::unique_ptr<IndexTable>> index_tables_;
+  // Keys (resident plus tombstoned UDFs) in the published table.
+  size_t index_keys_ = 0;
   // Snapshot store for governor-evicted entries (guarded by entries_mutex_
   // in the concurrent modes). In-memory: the serialized images ARE the
   // catalog-persistence format, so spilling them to files is a plain

@@ -4,19 +4,12 @@
 #include <cassert>
 #include <chrono>
 
+#include "common/hash.h"
 #include "obs/obs.h"
 #include "quadtree/quadtree_config.h"
 
 namespace mlq {
 namespace {
-
-// splitmix64 finalizer: good avalanche for the cheap per-dimension mixes.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 MlqConfig ShardConfig(const MlqConfig& config, int num_shards) {
   MlqConfig shard_config = config;
@@ -206,8 +199,9 @@ void ShardedCostModel::Observe(const Point& point, double actual_cost) {
 
 void ShardedCostModel::ObserveBatch(std::span<const Observation> batch) {
   if (batch.empty()) return;
-  // Partition by shard hash into index runs (an Observation copy would
-  // heap-allocate its Point, so the runs carry indices only). The counting
+  // Partition by shard hash into index runs (an Observation is an 80-byte
+  // value with its Point inline, so the runs carry 4-byte indices instead
+  // of copies). The counting
   // sort is stable, so each shard's relative order is preserved: a
   // single-threaded caller produces exactly the per-shard insert sequences
   // of a scalar Observe loop.

@@ -125,7 +125,7 @@ class MemoryLimitedQuadtree {
 
   // Gather form: inserts all[indices[0]], all[indices[1]], ... in that
   // order without materializing a contiguous copy of the selected
-  // observations (an Observation copy heap-allocates its Point). Same
+  // observations (each is an 80-byte value with its Point inline). Same
   // bit-identity guarantee as InsertBatch. The sharded model uses this to
   // apply one caller batch as per-shard index runs.
   void InsertBatch(std::span<const Observation> all,
