@@ -113,7 +113,7 @@ RunResult RunBatchWorkload(CostModel& model, int threads,
       Rng rng(0xBA7C4 + static_cast<uint64_t>(t));
       std::vector<Point> points;
       points.reserve(static_cast<size_t>(batch));
-      std::vector<Prediction> out(static_cast<size_t>(batch));
+      std::vector<CostEstimate> out(static_cast<size_t>(batch));
       volatile double sink = 0.0;
       for (int64_t i = 0; i < ops_per_thread;) {
         points.clear();
@@ -131,7 +131,7 @@ RunResult RunBatchWorkload(CostModel& model, int threads,
         }
         if (points.empty()) continue;
         model.PredictBatch(points,
-                           std::span<Prediction>(out.data(), points.size()));
+                           std::span<CostEstimate>(out.data(), points.size()));
         sink = sink + out[0].value;
       }
       (void)sink;

@@ -69,7 +69,7 @@ void BM_QuadtreePredictBatch(benchmark::State& state) {
   constexpr size_t kBatch = 256;
   auto tree = FilledTree(state.range(0), InsertionStrategy::kEager);
   const auto queries = RandomPoints(1024, 3);
-  std::vector<Prediction> out(kBatch);
+  std::vector<CostEstimate> out(kBatch);
   size_t offset = 0;
   for (auto _ : state) {
     const std::span<const Point> batch(&queries[offset], kBatch);
@@ -83,11 +83,10 @@ void BM_QuadtreePredictBatch(benchmark::State& state) {
 BENCHMARK(BM_QuadtreePredictBatch)->Arg(1800)->Arg(16384)->Arg(262144);
 
 void BM_QuadtreePredictStatsBatch(benchmark::State& state) {
-  // The variance-aware batched entry point: same descents as
-  // BM_QuadtreePredictBatch plus one Prediction -> CostEstimate conversion
-  // per point. Read next to that row: the per-point gap is the whole cost
-  // of the stats currency on the opt-in path (the scalar path's bound
-  // lives in bench/variance_overhead.cc).
+  // The model-level batched entry point, MlqModel::PredictBatch: same
+  // descents as BM_QuadtreePredictBatch behind one virtual call. Read next
+  // to that row: the per-point gap is what the model boundary costs (the
+  // stddev guard's bound lives in bench/variance_overhead.cc).
   constexpr size_t kBatch = 256;
   MlqModel model(Box::Cube(kDims, 0.0, 1000.0),
                  ConfigWithBudget(state.range(0), InsertionStrategy::kEager));
@@ -100,7 +99,7 @@ void BM_QuadtreePredictStatsBatch(benchmark::State& state) {
   size_t offset = 0;
   for (auto _ : state) {
     const std::span<const Point> batch(&queries[offset], kBatch);
-    model.PredictStatsBatch(batch, out);
+    model.PredictBatch(batch, out);
     benchmark::DoNotOptimize(out.data());
     offset = (offset + kBatch) & 1023;
   }

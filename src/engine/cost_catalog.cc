@@ -420,6 +420,43 @@ double CostCatalog::MaxModelStaleness() const {
   return staleness;
 }
 
+namespace {
+
+// Combines independent CPU and IO predictions into one micros-denominated
+// estimate: value matches PredictCostMicros bit for bit; the stddev of a
+// sum of independently scaled estimates is the root-sum-square of the
+// scaled stddevs; support is the weaker of the two.
+CostEstimate CombineCostStats(const CostEstimate& cpu,
+                              const CostEstimate& io) {
+  CostEstimate e;
+  e.value = cpu.value * kMicrosPerWorkUnit + io.value * kMicrosPerPageMiss;
+  const double cs = cpu.stddev * kMicrosPerWorkUnit;
+  const double is = io.stddev * kMicrosPerPageMiss;
+  e.stddev = std::sqrt(cs * cs + is * is);
+  e.count = std::min(cpu.count, io.count);
+  e.reliable = cpu.reliable && io.reliable;
+  return e;
+}
+
+// The selectivity fallback and clamp, shared by every selectivity
+// predictor: an unknown UDF answers the max-uncertainty prior (0.5 +/-
+// 0.5, unsupported); otherwise the value is clamped to [0.01, 1] so plan
+// cost formulas stay finite.
+CostEstimate SelectivityStats(CostEstimate p) {
+  if (!p.reliable && p.count == 0) return CostEstimate{0.5, 0.5, 0, false};
+  p.value = std::clamp(p.value, 0.01, 1.0);
+  return p;
+}
+
+// mlq_predict_stddev sample, in milli-units so sub-micro uncertainty does
+// not all collapse into the 0 bucket of the log2 histogram.
+void RecordStddevObs(const CostEstimate& e) {
+  obs::Core().predict_stddev.Record(
+      static_cast<int64_t>(std::llround(e.stddev * 1000.0)));
+}
+
+}  // namespace
+
 double CostCatalog::PredictCostMicros(CostedUdf* udf,
                                       const Point& model_point) {
   Entry& entry = For(udf);
@@ -432,9 +469,8 @@ double CostCatalog::PredictSelectivity(CostedUdf* udf,
                                        const Point& model_point) {
   Entry& entry = For(udf);
   entry.traffic.fetch_add(1, std::memory_order_relaxed);
-  const Prediction p = entry.selectivity_model->PredictDetailed(model_point);
-  if (!p.reliable && p.count == 0) return 0.5;  // Nothing known yet.
-  return std::clamp(p.value, 0.01, 1.0);
+  return SelectivityStats(entry.selectivity_model->PredictStats(model_point))
+      .value;
 }
 
 void CostCatalog::PredictCostMicrosBatch(CostedUdf* udf,
@@ -445,8 +481,8 @@ void CostCatalog::PredictCostMicrosBatch(CostedUdf* udf,
   Entry& entry = For(udf);
   entry.traffic.fetch_add(static_cast<int64_t>(model_points.size()),
                           std::memory_order_relaxed);
-  std::vector<Prediction> cpu(model_points.size());
-  std::vector<Prediction> io(model_points.size());
+  std::vector<CostEstimate> cpu(model_points.size());
+  std::vector<CostEstimate> io(model_points.size());
   entry.cpu_model->PredictBatch(model_points, cpu);
   entry.io_model->PredictBatch(model_points, io);
   for (size_t i = 0; i < model_points.size(); ++i) {
@@ -459,52 +495,10 @@ void CostCatalog::PredictSelectivityBatch(CostedUdf* udf,
                                           std::span<const Point> model_points,
                                           std::span<double> out) {
   assert(model_points.size() == out.size());
-  if (model_points.empty()) return;
-  Entry& entry = For(udf);
-  entry.traffic.fetch_add(static_cast<int64_t>(model_points.size()),
-                          std::memory_order_relaxed);
-  std::vector<Prediction> predictions(model_points.size());
-  entry.selectivity_model->PredictBatch(model_points, predictions);
-  for (size_t i = 0; i < model_points.size(); ++i) {
-    const Prediction& p = predictions[i];
-    out[i] = (!p.reliable && p.count == 0) ? 0.5
-                                           : std::clamp(p.value, 0.01, 1.0);
-  }
+  std::vector<CostEstimate> stats(model_points.size());
+  PredictSelectivityStatsBatch(udf, model_points, stats);
+  for (size_t i = 0; i < stats.size(); ++i) out[i] = stats[i].value;
 }
-
-namespace {
-
-// Combines independent CPU and IO predictions into one micros-denominated
-// estimate: value matches PredictCostMicros bit for bit; the stddev of a
-// sum of independently scaled estimates is the root-sum-square of the
-// scaled stddevs; support is the weaker of the two.
-CostEstimate CombineCostStats(const Prediction& cpu, const Prediction& io) {
-  CostEstimate e;
-  e.value = cpu.value * kMicrosPerWorkUnit + io.value * kMicrosPerPageMiss;
-  const double cs = cpu.stddev * kMicrosPerWorkUnit;
-  const double is = io.stddev * kMicrosPerPageMiss;
-  e.stddev = std::sqrt(cs * cs + is * is);
-  e.count = std::min(cpu.count, io.count);
-  e.reliable = cpu.reliable && io.reliable;
-  return e;
-}
-
-// Selectivity stats with the scalar path's clamp and fallback: an unknown
-// UDF answers the max-uncertainty prior (0.5 +/- 0.5, unsupported).
-CostEstimate SelectivityStats(const Prediction& p) {
-  if (!p.reliable && p.count == 0) return CostEstimate{0.5, 0.5, 0, false};
-  return CostEstimate{std::clamp(p.value, 0.01, 1.0), p.stddev, p.count,
-                      p.reliable};
-}
-
-// mlq_predict_stddev sample, in milli-units so sub-micro uncertainty does
-// not all collapse into the 0 bucket of the log2 histogram.
-void RecordStddevObs(const CostEstimate& e) {
-  obs::Core().predict_stddev.Record(
-      static_cast<int64_t>(std::llround(e.stddev * 1000.0)));
-}
-
-}  // namespace
 
 // Windowed-actuals cross-check: estimates come from the models, but the
 // entry's fast/slow EWMAs track what executions actually did. When those
@@ -532,30 +526,6 @@ double CostCatalog::WindowedCostDisagreement(const Entry& entry) const {
   return hi - lo;
 }
 
-CostEstimate CostCatalog::PredictCostStats(CostedUdf* udf,
-                                           const Point& model_point) {
-  Entry& entry = For(udf);
-  entry.traffic.fetch_add(1, std::memory_order_relaxed);
-  const Prediction cpu = entry.cpu_model->PredictDetailed(model_point);
-  const Prediction io = entry.io_model->PredictDetailed(model_point);
-  CostEstimate e = CombineCostStats(cpu, io);
-  const double disagreement = WindowedCostDisagreement(entry);
-  if (disagreement > 0.0) {
-    e.stddev = std::sqrt(e.stddev * e.stddev + disagreement * disagreement);
-    e.reliable = false;
-  }
-  if (obs::Enabled()) RecordStddevObs(e);
-  return e;
-}
-
-CostEstimate CostCatalog::PredictSelectivityStats(CostedUdf* udf,
-                                                  const Point& model_point) {
-  Entry& entry = For(udf);
-  entry.traffic.fetch_add(1, std::memory_order_relaxed);
-  return SelectivityStats(
-      entry.selectivity_model->PredictDetailed(model_point));
-}
-
 void CostCatalog::PredictCostStatsBatch(CostedUdf* udf,
                                         std::span<const Point> model_points,
                                         std::span<CostEstimate> out) {
@@ -564,8 +534,8 @@ void CostCatalog::PredictCostStatsBatch(CostedUdf* udf,
   Entry& entry = For(udf);
   entry.traffic.fetch_add(static_cast<int64_t>(model_points.size()),
                           std::memory_order_relaxed);
-  std::vector<Prediction> cpu(model_points.size());
-  std::vector<Prediction> io(model_points.size());
+  std::vector<CostEstimate> cpu(model_points.size());
+  std::vector<CostEstimate> io(model_points.size());
   entry.cpu_model->PredictBatch(model_points, cpu);
   entry.io_model->PredictBatch(model_points, io);
   const bool obs_on = obs::Enabled();
@@ -589,11 +559,8 @@ void CostCatalog::PredictSelectivityStatsBatch(
   Entry& entry = For(udf);
   entry.traffic.fetch_add(static_cast<int64_t>(model_points.size()),
                           std::memory_order_relaxed);
-  std::vector<Prediction> predictions(model_points.size());
-  entry.selectivity_model->PredictBatch(model_points, predictions);
-  for (size_t i = 0; i < model_points.size(); ++i) {
-    out[i] = SelectivityStats(predictions[i]);
-  }
+  entry.selectivity_model->PredictBatch(model_points, out);
+  for (CostEstimate& e : out) e = SelectivityStats(e);
 }
 
 void CostCatalog::FlushEntry(Entry& entry) {

@@ -191,22 +191,21 @@ class CostCatalog {
 
   // --- Variance-aware prediction currency ----------------------------------
   //
-  // Stats forms of the predictors above. Values are bit-identical to the
-  // scalar calls (same model probes, same arithmetic); the extra fields
-  // carry per-point uncertainty for risk-aware planning:
+  // Stats forms of the batched predictors above. Values are bit-identical
+  // to the scalar and batched value calls (same model probes, same
+  // arithmetic); the extra fields carry per-point uncertainty for
+  // risk-aware planning:
   //   * cost: CPU and IO estimates combine as independent scaled terms —
   //     value = cpu*kMicrosPerWorkUnit + io*kMicrosPerPageMiss, stddev is
   //     the root-sum-square of the scaled stddevs, count is the smaller
   //     support, reliable requires both.
   //   * selectivity: the unknown-UDF fallback reports the max-uncertainty
   //     prior {0.5, stddev 0.5, count 0, unreliable}.
-  // Both cross-check against the entry's windowed actuals: when the fast
-  // and slow windows of OBSERVED outcomes disagree strongly (the workload
-  // is moving), in-node variance understates true uncertainty, so the
-  // windowed disagreement is folded into stddev and `reliable` is dropped.
-  CostEstimate PredictCostStats(CostedUdf* udf, const Point& model_point);
-  CostEstimate PredictSelectivityStats(CostedUdf* udf,
-                                       const Point& model_point);
+  // The cost form cross-checks against the entry's windowed actuals: when
+  // the fast and slow windows of OBSERVED outcomes disagree strongly (the
+  // workload is moving), in-node variance understates true uncertainty, so
+  // the windowed disagreement is folded into stddev and `reliable` is
+  // dropped.
   void PredictCostStatsBatch(CostedUdf* udf,
                              std::span<const Point> model_points,
                              std::span<CostEstimate> out);
@@ -274,8 +273,9 @@ class CostCatalog {
   // (bytes, nodes over all three models), windowed NAE (normalized
   // fast-vs-slow deviation of the WindowedActuals cost windows),
   // staleness (worst detector fast/slow ratio), the entry's arena
-  // fragmentation, and the derived accuracy-per-byte score. One vector element per catalog entry, in
-  // registration order. Intended as the exporter's health provider:
+  // fragmentation, and the derived accuracy-per-byte score. One vector
+  // element per catalog entry, in registration order. Intended as the
+  // exporter's health provider:
   //   exporter.SetHealthProvider([&] { return catalog.ReadModelHealth(); });
   std::vector<obs::ModelHealth> ReadModelHealth() const;
 

@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "eval/metrics.h"
+#include "quadtree/shared_node_arena.h"
 
 namespace mlq {
 
@@ -36,9 +37,11 @@ bool ReadTrace(std::istream& is, std::vector<TraceRecord>* records,
     return false;
   }
   int dims = 0;
+  // Traces replay into quadtrees, so dims stops at the tree's limit.
   if (std::sscanf(line.c_str(), "# mlq-trace v1 dims=%d", &dims) != 1 ||
-      dims < 1 || dims > kMaxDims) {
-    *error = "bad trace header: " + line;
+      dims < 1 || dims > kMaxTreeDims) {
+    *error = "bad trace header (dims must be 1.." +
+             std::to_string(kMaxTreeDims) + "): " + line;
     return false;
   }
   int line_number = 1;
@@ -107,7 +110,7 @@ double ReplayTraceBatched(CostModel& model,
   assert(block_size >= 1);
   NaeAccumulator nae;
   std::vector<Point> points;
-  std::vector<Prediction> predictions;
+  std::vector<CostEstimate> predictions;
   std::vector<Observation> feedback;
   for (size_t begin = 0; begin < records.size();
        begin += static_cast<size_t>(block_size)) {

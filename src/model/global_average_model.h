@@ -14,11 +14,6 @@ class GlobalAverageModel : public CostModel {
  public:
   std::string_view name() const override { return "GLOBAL-AVG"; }
 
-  double Predict(const Point& point) const override {
-    (void)point;
-    return summary_.Avg();
-  }
-
   // Native stats from the single summary triple: the model IS a one-node
   // MLQ, so its global stddev/count are the honest uncertainty report.
   CostEstimate PredictStats(const Point& point) const override {

@@ -26,7 +26,16 @@ class MlqModel : public CostModel {
   explicit MlqModel(std::unique_ptr<MemoryLimitedQuadtree> tree);
 
   std::string_view name() const override { return name_; }
-  double Predict(const Point& point) const override;
+  // Native stats: the tree's stored sum-of-squares makes the full
+  // CostEstimate free — one descent, no extra work over the value.
+  CostEstimate PredictStats(const Point& point) const override {
+    return tree_->Predict(point);
+  }
+  // Batched descent straight into the pooled tree.
+  void PredictBatch(std::span<const Point> points,
+                    std::span<CostEstimate> out) const override {
+    tree_->PredictBatch(points, out);
+  }
   void Observe(const Point& point, double actual_cost) override;
   void ObserveBatch(std::span<const Observation> batch) override {
     tree_->InsertBatch(batch);
@@ -49,32 +58,6 @@ class MlqModel : public CostModel {
     return true;
   }
   ModelUpdateBreakdown update_breakdown() const override;
-
-  // Full prediction detail (depth, count, reliability).
-  Prediction PredictDetailed(const Point& point) const override {
-    return tree_->Predict(point);
-  }
-
-  // Batched descent straight into the pooled tree.
-  void PredictBatch(std::span<const Point> points,
-                    std::span<Prediction> out) const override {
-    tree_->PredictBatch(points, out);
-  }
-
-  // Native stats: the tree's stored sum-of-squares makes the full
-  // CostEstimate free — one descent, no extra work over Predict.
-  CostEstimate PredictStats(const Point& point) const override {
-    return CostEstimate::FromPrediction(tree_->Predict(point));
-  }
-
-  void PredictStatsBatch(std::span<const Point> points,
-                         std::span<CostEstimate> out) const override {
-    std::vector<Prediction> scratch(points.size());
-    tree_->PredictBatch(points, scratch);
-    for (size_t i = 0; i < points.size(); ++i) {
-      out[i] = CostEstimate::FromPrediction(scratch[i]);
-    }
-  }
 
   const MemoryLimitedQuadtree& tree() const { return *tree_; }
 

@@ -57,8 +57,8 @@ double NeuralCostModel::Forward(const std::vector<double>& input,
   return output;
 }
 
-double NeuralCostModel::Predict(const Point& point) const {
-  if (observations_ == 0) return 0.0;
+CostEstimate NeuralCostModel::PredictStats(const Point& point) const {
+  if (observations_ == 0) return {};
   std::vector<double> input;
   Normalize(point, &input);
   std::vector<double> hidden;
@@ -66,20 +66,12 @@ double NeuralCostModel::Predict(const Point& point) const {
   const double stddev =
       observations_ > 1
           ? std::sqrt(target_m2_ / static_cast<double>(observations_))
-          : 1.0;
-  // De-standardize; costs are non-negative.
-  return std::max(0.0, target_mean_ + standardized * stddev);
-}
-
-CostEstimate NeuralCostModel::PredictStats(const Point& point) const {
-  CostEstimate e;
-  e.value = Predict(point);
-  e.count = observations_;
-  e.reliable = observations_ > 0;
-  e.stddev = observations_ > 1
-                 ? std::sqrt(target_m2_ / static_cast<double>(observations_))
-                 : 0.0;
-  return e;
+          : 0.0;
+  // De-standardize (a lone observation has unit scale); costs are
+  // non-negative.
+  const double scale = observations_ > 1 ? stddev : 1.0;
+  return CostEstimate{std::max(0.0, target_mean_ + standardized * scale),
+                      stddev, observations_, true};
 }
 
 void NeuralCostModel::Observe(const Point& point, double actual_cost) {

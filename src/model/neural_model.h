@@ -39,10 +39,9 @@ class NeuralCostModel : public CostModel {
                   const Options& options);
 
   std::string_view name() const override { return "NN"; }
-  double Predict(const Point& point) const override;
-  // Stats default: the MLP keeps no local second moment, so the global
-  // online target stddev serves as a coarse, uniform uncertainty; count is
-  // the total observations the net has trained on.
+  // The MLP keeps no local second moment, so the global online target
+  // stddev serves as a coarse, uniform uncertainty; count is the total
+  // observations the net has trained on.
   CostEstimate PredictStats(const Point& point) const override;
   void Observe(const Point& point, double actual_cost) override;
   int64_t MemoryBytes() const override;

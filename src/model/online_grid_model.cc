@@ -44,18 +44,12 @@ int64_t OnlineGridModel::BucketIndexOf(const Point& point) const {
   return index;
 }
 
-double OnlineGridModel::Predict(const Point& point) const {
-  const SummaryTriple& bucket = buckets_[static_cast<size_t>(BucketIndexOf(point))];
-  if (bucket.Empty()) return global_.Avg();
-  return bucket.Avg();
-}
-
 CostEstimate OnlineGridModel::PredictStats(const Point& point) const {
   const SummaryTriple& bucket =
       buckets_[static_cast<size_t>(BucketIndexOf(point))];
   if (bucket.Empty()) {
-    // Global fallback, like Predict: report the global spread but flag the
-    // estimate as locally unsupported.
+    // Global fallback: report the global spread but flag the estimate as
+    // locally unsupported.
     return CostEstimate{global_.Avg(), global_.Stddev(), 0, false};
   }
   return CostEstimate{bucket.Avg(), bucket.Stddev(), bucket.count, true};

@@ -25,10 +25,10 @@ class OnlineGridModel : public CostModel {
   OnlineGridModel(const Box& space, int64_t memory_limit_bytes);
 
   std::string_view name() const override { return "ST-GRID"; }
-  double Predict(const Point& point) const override;
-  // Native stats: buckets are summary triples, so the serving bucket's
-  // stddev/count are free; the global fallback reports the global spread
-  // with reliable = false (nothing local known).
+  // The serving bucket's summary, or the global one when that bucket is
+  // empty. Buckets are summary triples, so stddev/count are free; the
+  // global fallback reports the global spread with reliable = false
+  // (nothing local known).
   CostEstimate PredictStats(const Point& point) const override;
   void Observe(const Point& point, double actual_cost) override;
   int64_t MemoryBytes() const override { return charged_bytes_; }

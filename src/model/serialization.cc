@@ -158,7 +158,7 @@ std::unique_ptr<MemoryLimitedQuadtree> DeserializeQuadtree(
     return nullptr;
   }
   const bool decayed = version == kDecayVersion;
-  if (dims < 1 || dims > kMaxDims) {
+  if (dims < 1 || dims > kMaxTreeDims) {
     *err = "dims out of range";
     return nullptr;
   }

@@ -103,11 +103,7 @@ void ShardedCostModel::DrainLocked(Shard& shard) const {
   shard.drain_buffer.clear();
 }
 
-double ShardedCostModel::Predict(const Point& point) const {
-  return PredictDetailed(point).value;
-}
-
-Prediction ShardedCostModel::PredictDetailed(const Point& point) const {
+CostEstimate ShardedCostModel::PredictStats(const Point& point) const {
   Shard& shard = *shards_[static_cast<size_t>(ShardOf(point))];
   const bool obs_on = obs::Enabled();
   const int64_t wait_t0 = obs_on ? obs::NowNs() : 0;
@@ -115,11 +111,11 @@ Prediction ShardedCostModel::PredictDetailed(const Point& point) const {
   if (obs_on) obs::Core().lock_wait_ns.Record(obs::NowNs() - wait_t0);
   if (options_.drain_on_predict) DrainLocked(shard);
   ++shard.predictions;
-  return shard.model.PredictDetailed(point);
+  return shard.model.PredictStats(point);
 }
 
 void ShardedCostModel::PredictBatch(std::span<const Point> points,
-                                    std::span<Prediction> out) const {
+                                    std::span<CostEstimate> out) const {
   assert(points.size() == out.size());
   // Bucket positions by shard so each shard is visited once. Batches are
   // planner-sized (tens to a few hundred points); two scratch vectors per
@@ -131,7 +127,7 @@ void ShardedCostModel::PredictBatch(std::span<const Point> points,
   }
   const bool obs_on = obs::Enabled();
   std::vector<Point> gathered;
-  std::vector<Prediction> results;
+  std::vector<CostEstimate> results;
   for (size_t s = 0; s < shards_.size(); ++s) {
     const std::vector<uint32_t>& bucket = buckets[s];
     if (bucket.empty()) continue;
@@ -148,23 +144,6 @@ void ShardedCostModel::PredictBatch(std::span<const Point> points,
     shard.predictions += static_cast<int64_t>(bucket.size());
     shard.model.PredictBatch(gathered, results);
     for (size_t k = 0; k < bucket.size(); ++k) out[bucket[k]] = results[k];
-  }
-}
-
-CostEstimate ShardedCostModel::PredictStats(const Point& point) const {
-  return CostEstimate::FromPrediction(PredictDetailed(point));
-}
-
-void ShardedCostModel::PredictStatsBatch(std::span<const Point> points,
-                                         std::span<CostEstimate> out) const {
-  assert(points.size() == out.size());
-  // Reuse the shard-bucketed batch descent — per-point stddev/count travel
-  // through the same gather/scatter, so out[i] is exactly
-  // PredictStats(points[i]) would have been (modulo drain interleaving).
-  std::vector<Prediction> scratch(points.size());
-  PredictBatch(points, scratch);
-  for (size_t i = 0; i < points.size(); ++i) {
-    out[i] = CostEstimate::FromPrediction(scratch[i]);
   }
 }
 

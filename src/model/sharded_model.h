@@ -105,20 +105,13 @@ class ShardedCostModel : public CostModel {
   ShardedCostModel& operator=(const ShardedCostModel&) = delete;
 
   std::string_view name() const override { return name_; }
-  double Predict(const Point& point) const override;
-  Prediction PredictDetailed(const Point& point) const override;
+  CostEstimate PredictStats(const Point& point) const override;
   // Buckets the batch by shard, then serves each shard's points under one
   // lock acquisition (and one drain, when drain_on_predict is set) via the
   // tree's batched descent. Results land at their original positions, so
-  // the output is element-wise identical to a PredictDetailed loop.
+  // the output is element-wise identical to a PredictStats loop.
   void PredictBatch(std::span<const Point> points,
-                    std::span<Prediction> out) const override;
-  // Stats currency over the same shard-bucketed path: per-point stddev and
-  // count come from whichever shard tree served the point, scattered back
-  // to the original positions exactly like PredictBatch.
-  CostEstimate PredictStats(const Point& point) const override;
-  void PredictStatsBatch(std::span<const Point> points,
-                         std::span<CostEstimate> out) const override;
+                    std::span<CostEstimate> out) const override;
   void Observe(const Point& point, double actual_cost) override;
   // Partitions the batch by shard hash (preserving each shard's relative
   // order), then per shard: if the shard's model lock is free, drains the

@@ -93,24 +93,12 @@ int64_t StaticHistogram::BucketIndexOf(const Point& point) const {
   return index;
 }
 
-double StaticHistogram::Predict(const Point& point) const {
-  if (!trained_) return 0.0;
-  const int64_t b = BucketIndexOf(point);
-  if (bucket_counts_[static_cast<size_t>(b)] == 0) {
-    // Empty bucket: fall back to the global training average.
-    return global_avg_;
-  }
-  return bucket_avgs_[static_cast<size_t>(b)];
-}
-
 CostEstimate StaticHistogram::PredictStats(const Point& point) const {
-  CostEstimate e;
-  e.value = Predict(point);
-  if (!trained_) return e;
-  const int64_t count = bucket_counts_[static_cast<size_t>(BucketIndexOf(point))];
-  e.count = count;
-  e.reliable = count > 0;
-  return e;
+  if (!trained_) return {};
+  const auto b = static_cast<size_t>(BucketIndexOf(point));
+  // Empty bucket: fall back to the global training average.
+  if (bucket_counts_[b] == 0) return CostEstimate{global_avg_, 0.0, 0, false};
+  return CostEstimate{bucket_avgs_[b], 0.0, bucket_counts_[b], true};
 }
 
 EquiWidthHistogram::EquiWidthHistogram(const Box& space,
@@ -239,22 +227,12 @@ int64_t InfluenceWeightedHistogram::BucketIndexOf(const Point& point) const {
   return index;
 }
 
-double InfluenceWeightedHistogram::Predict(const Point& point) const {
-  if (!trained_) return 0.0;
-  const int64_t b = BucketIndexOf(point);
-  if (bucket_counts_[static_cast<size_t>(b)] == 0) return global_avg_;
-  return bucket_avgs_[static_cast<size_t>(b)];
-}
-
 CostEstimate InfluenceWeightedHistogram::PredictStats(
     const Point& point) const {
-  CostEstimate e;
-  e.value = Predict(point);
-  if (!trained_) return e;
-  const int64_t count = bucket_counts_[static_cast<size_t>(BucketIndexOf(point))];
-  e.count = count;
-  e.reliable = count > 0;
-  return e;
+  if (!trained_) return {};
+  const auto b = static_cast<size_t>(BucketIndexOf(point));
+  if (bucket_counts_[b] == 0) return CostEstimate{global_avg_, 0.0, 0, false};
+  return CostEstimate{bucket_avgs_[b], 0.0, bucket_counts_[b], true};
 }
 
 EquiHeightHistogram::EquiHeightHistogram(const Box& space,

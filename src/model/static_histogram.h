@@ -33,8 +33,8 @@ class StaticHistogram : public CostModel {
   // interval boundaries, then the base aggregates bucket contents.
   void Train(std::span<const Point> points, std::span<const double> costs);
 
-  double Predict(const Point& point) const override;
-  // Stats default: value == Predict exactly; count is the serving bucket's
+  // The serving bucket's average, or the global training average when
+  // that bucket is empty (0 untrained). count is the serving bucket's
   // training population; stddev stays 0 (buckets store averages, not
   // second moments). reliable only when a non-empty bucket answered —
   // the global-average fallback is flagged like MLQ's root fallback.
@@ -143,8 +143,7 @@ class InfluenceWeightedHistogram : public CostModel {
   void Train(std::span<const Point> points, std::span<const double> costs);
 
   std::string_view name() const override { return "SH-V"; }
-  double Predict(const Point& point) const override;
-  // Same stats semantics as StaticHistogram::PredictStats.
+  // Same semantics as StaticHistogram::PredictStats.
   CostEstimate PredictStats(const Point& point) const override;
   void Observe(const Point& point, double actual_cost) override {
     (void)point;

@@ -36,7 +36,7 @@ MemoryLimitedQuadtree::MemoryLimitedQuadtree(
       config_(config),
       budget_(config.memory_limit_bytes),
       pool_(1 << space.dims(), std::move(arena)) {
-  assert(space.dims() >= 1 && space.dims() <= kMaxDims);
+  assert(space.dims() >= 1 && space.dims() <= kMaxTreeDims);
   assert(config.max_depth >= 0);
   assert(config.memory_limit_bytes >= kNodeBaseBytes);
   // Pre-size the arena for the budget ceiling. Child blocks hold vacant
@@ -63,12 +63,12 @@ MemoryLimitedQuadtree::~MemoryLimitedQuadtree() {
   }
 }
 
-Prediction MemoryLimitedQuadtree::Predict(const Point& point) const {
+CostEstimate MemoryLimitedQuadtree::Predict(const Point& point) const {
   return PredictWithBeta(point, config_.beta);
 }
 
-Prediction MemoryLimitedQuadtree::PredictInternal(const Point& point,
-                                                  int64_t beta) const {
+CostEstimate MemoryLimitedQuadtree::PredictInternal(const Point& point,
+                                                    int64_t beta) const {
   const int dims = space_.dims();
   double p[kMaxDims];
   ClampToSpace(point, space_, p);
@@ -77,7 +77,7 @@ Prediction MemoryLimitedQuadtree::PredictInternal(const Point& point,
   // (read-only) descent is safe even while sibling trees grow the arena.
   const SharedNodeArena& arena = pool_.arena();
   const PooledNode* cn = &arena.node(root_);
-  Prediction out;
+  CostEstimate out;
   // With decay on, the beta reliability test weighs each node's count by
   // its un-materialized age (the predict path never mutates the tree): a
   // stale node counts as 2^(-age/H) of itself, so the descent stops higher
@@ -142,22 +142,22 @@ Prediction MemoryLimitedQuadtree::PredictInternal(const Point& point,
   return out;
 }
 
-Prediction MemoryLimitedQuadtree::PredictWithBeta(const Point& point,
-                                                  int64_t beta) const {
+CostEstimate MemoryLimitedQuadtree::PredictWithBeta(const Point& point,
+                                                    int64_t beta) const {
   obs::ScopedLatency latency(obs::Core().predict_ns, obs::Core().predicts,
                              obs::TraceEventType::kPredict);
-  const Prediction out = PredictInternal(point, beta);
+  const CostEstimate out = PredictInternal(point, beta);
   latency.set_args(out.value, out.depth);
   return out;
 }
 
 void MemoryLimitedQuadtree::PredictBatch(std::span<const Point> points,
-                                         std::span<Prediction> out) const {
+                                         std::span<CostEstimate> out) const {
   PredictBatchWithBeta(points, out, config_.beta);
 }
 
 void MemoryLimitedQuadtree::PredictBatchWithBeta(std::span<const Point> points,
-                                                 std::span<Prediction> out,
+                                                 std::span<CostEstimate> out,
                                                  int64_t beta) const {
   assert(points.size() == out.size());
   const bool obs_on = obs::Enabled();

@@ -1,6 +1,7 @@
 #ifndef MLQ_QUADTREE_MEMORY_LIMITED_QUADTREE_H_
 #define MLQ_QUADTREE_MEMORY_LIMITED_QUADTREE_H_
 
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -25,22 +26,35 @@ struct Observation {
   double value = 0.0;
 };
 
-// Result of a point prediction (Fig. 3 of the paper).
-struct Prediction {
+// Result of a point prediction (Fig. 3 of the paper), and the one
+// prediction currency of every cost model and the catalog: a predicted
+// value together with the uncertainty the model can attach to it. Models
+// without a tree report what coarser confidence they have and depth 0.
+struct CostEstimate {
   // Predicted cost: the average stored in the chosen node.
   double value = 0.0;
   // Sample standard deviation of the costs summarized in the chosen node
   // (sqrt(SSE/C), from the stored sum-of-squares): a confidence measure an
   // optimizer can use for risk-aware planning. 0 for a single point.
   double stddev = 0.0;
-  // Depth of the node the prediction came from (0 = root).
-  int depth = 0;
-  // Number of data points summarized in that node.
+  // Number of data points summarized in that node (0 = unsupported
+  // default).
   int64_t count = 0;
   // False when even the root had fewer than beta points (including the
   // empty-tree case, where value is 0): the caller is on its own.
   bool reliable = false;
+  // Depth of the node the prediction came from (0 = root). Last, so
+  // four-value initializers {value, stddev, count, reliable} stay valid.
+  int depth = 0;
+
+  // Half-width of the ~95% normal confidence interval on the value, given
+  // that it averages `count` observations. 0 when nothing supports it.
+  double ConfidenceHalfWidth() const {
+    if (count <= 0) return 0.0;
+    return 1.96 * stddev / std::sqrt(static_cast<double>(count));
+  }
 };
+static_assert(sizeof(CostEstimate) == 32, "keep the currency packed");
 
 // Aggregate operation counters, exposed for the modeling-cost experiments
 // (Experiment 2 / Fig. 10).
@@ -92,11 +106,11 @@ class MemoryLimitedQuadtree {
 
   // Predicts the cost at `point` using the configured beta: the average of
   // the lowest node containing the point with count >= beta.
-  Prediction Predict(const Point& point) const;
+  CostEstimate Predict(const Point& point) const;
 
   // Same, with an explicit beta (the paper uses beta=1 for CPU and beta=10
   // for disk-IO predictions from the same tree shape).
-  Prediction PredictWithBeta(const Point& point, int64_t beta) const;
+  CostEstimate PredictWithBeta(const Point& point, int64_t beta) const;
 
   // Batched prediction: out[i] = Predict(points[i]), with the per-call
   // observability overhead amortized over the whole batch (one span, one
@@ -104,9 +118,9 @@ class MemoryLimitedQuadtree {
   // layout makes consecutive descents hit the same cache lines, so this is
   // the fast path for optimizers that cost many candidate points at once.
   void PredictBatch(std::span<const Point> points,
-                    std::span<Prediction> out) const;
+                    std::span<CostEstimate> out) const;
   void PredictBatchWithBeta(std::span<const Point> points,
-                            std::span<Prediction> out, int64_t beta) const;
+                            std::span<CostEstimate> out, int64_t beta) const;
 
   // Inserts the observed cost `value` at `point` (Fig. 4), compressing
   // first whenever materializing a new node would exceed the memory budget
@@ -225,7 +239,7 @@ class MemoryLimitedQuadtree {
 
   // Single-point descent without observability hooks; shared by Predict and
   // PredictBatch.
-  Prediction PredictInternal(const Point& point, int64_t beta) const;
+  CostEstimate PredictInternal(const Point& point, int64_t beta) const;
 
   // One insertion descent without timers or observability hooks; shared by
   // Insert and InsertBatch. `path` is caller-provided scratch for the

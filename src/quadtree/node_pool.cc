@@ -6,8 +6,9 @@ namespace mlq {
 
 NodePool::NodePool(int fanout, std::shared_ptr<SharedNodeArena> arena)
     : arena_(std::move(arena)), fanout_(fanout), shared_(arena_ != nullptr) {
-  // 2 <= fanout <= 128 keeps every quadrant strictly below kVacantSlot.
-  assert(fanout_ >= 2 && fanout_ <= 128);
+  // 2 <= fanout <= 2^kMaxTreeDims keeps every quadrant strictly below
+  // kVacantSlot.
+  assert(fanout_ >= 2 && fanout_ <= (1 << kMaxTreeDims));
   if (arena_ == nullptr) {
     arena_ = std::make_shared<SharedNodeArena>(fanout_);
   } else {

@@ -17,9 +17,10 @@ bool IsVacant(const PooledNode& n) { return n.index_in_parent == kVacantSlot; }
 SharedNodeArena::SharedNodeArena(int fanout)
     : fanout_(fanout),
       slabs_(new std::atomic<PooledNode*>[kMaxSlabs]) {
-  // 2 <= fanout <= 128 keeps every quadrant strictly below kVacantSlot and
-  // guarantees blocks never straddle a slab (fanout divides kSlabSlots).
-  assert(fanout_ >= 2 && fanout_ <= 128);
+  // 2 <= fanout <= 2^kMaxTreeDims keeps every quadrant strictly below
+  // kVacantSlot and guarantees blocks never straddle a slab (fanout divides
+  // kSlabSlots).
+  assert(fanout_ >= 2 && fanout_ <= (1 << kMaxTreeDims));
   for (size_t s = 0; s < kMaxSlabs; ++s) {
     slabs_[s].store(nullptr, std::memory_order_relaxed);
   }

@@ -51,9 +51,18 @@ static_assert(sizeof(PooledNode) == 48, "keep the hot-path node packed");
 // index_in_parent value marking a slot that belongs to an allocated block
 // but holds no node: the quadrant is not materialized, or the whole block
 // sits on the free-list. The marker exceeds any real quadrant (fanout is
-// capped at 128, quadrants 0..127), which makes the O(1) quadrant
-// comparison in NodePool::Child reject vacant slots for free.
+// capped at 2^kMaxTreeDims = 128, quadrants 0..127), which makes the O(1)
+// quadrant comparison in NodePool::Child reject vacant slots for free.
 inline constexpr uint8_t kVacantSlot = 0xFF;
+
+// Largest dimensionality a quadtree supports. Quadrant tags and child
+// counts are uint8_t with kVacantSlot reserved, so a node holds at most
+// 2^7 children; a model space of up to kMaxDims dimensions is fine for
+// the grid models, but not for a tree.
+inline constexpr int kMaxTreeDims = 7;
+static_assert((1 << kMaxTreeDims) - 1 < kVacantSlot &&
+                  (1 << (kMaxTreeDims + 1)) - 1 >= kVacantSlot,
+              "kMaxTreeDims is the widest fanout the uint8_t tags encode");
 
 inline void MarkVacantSlot(PooledNode& n) {
   n.summary = SummaryTriple{};

@@ -161,27 +161,28 @@ TEST_F(RiskPlanTest, CatalogStatsValueMatchesScalarBitwise) {
     for (int64_t row = 0; row < table_.num_rows(); row += 10) {
       points.push_back(predicate->ModelPointFor(table_.Row(row)));
     }
-    // Scalar/stats identity, point at a time. (Stddev may fold in the
-    // windowed-actuals cross-check; the VALUE must never move.)
-    for (const Point& p : points) {
-      const double scalar_cost =
-          catalog.PredictCostMicros(predicate->udf(), p);
-      EXPECT_EQ(catalog.PredictCostStats(predicate->udf(), p).value,
-                scalar_cost);
-      const double scalar_sel =
-          catalog.PredictSelectivity(predicate->udf(), p);
-      EXPECT_EQ(catalog.PredictSelectivityStats(predicate->udf(), p).value,
-                scalar_sel);
-    }
-    // Batched stats against batched scalar.
+    // Batched stats against batched values and against the scalar calls,
+    // point at a time. (Stddev may fold in the windowed-actuals
+    // cross-check; the VALUE must never move.)
     std::vector<double> cost_scalar(points.size());
     std::vector<CostEstimate> cost_stats(points.size());
+    std::vector<double> sel_scalar(points.size());
+    std::vector<CostEstimate> sel_stats(points.size());
     catalog.PredictCostMicrosBatch(predicate->udf(), points, cost_scalar);
     catalog.PredictCostStatsBatch(predicate->udf(), points, cost_stats);
+    catalog.PredictSelectivityBatch(predicate->udf(), points, sel_scalar);
+    catalog.PredictSelectivityStatsBatch(predicate->udf(), points, sel_stats);
     for (size_t i = 0; i < points.size(); ++i) {
       EXPECT_EQ(cost_stats[i].value, cost_scalar[i]) << "point " << i;
+      EXPECT_EQ(cost_stats[i].value,
+                catalog.PredictCostMicros(predicate->udf(), points[i]))
+          << "point " << i;
       EXPECT_FALSE(std::isnan(cost_stats[i].stddev));
       EXPECT_GE(cost_stats[i].stddev, 0.0);
+      EXPECT_EQ(sel_stats[i].value, sel_scalar[i]) << "point " << i;
+      EXPECT_EQ(sel_stats[i].value,
+                catalog.PredictSelectivity(predicate->udf(), points[i]))
+          << "point " << i;
     }
   }
 }

@@ -65,6 +65,7 @@ TEST(TraceTest, RejectsMalformedInput) {
       "",                                  // Empty.
       "not a header\n1,2,3\n",             // Bad header.
       "# mlq-trace v1 dims=0\n",           // Bad dims.
+      "# mlq-trace v1 dims=8\n",           // More dims than a quadtree has.
       "# mlq-trace v1 dims=2\n1.0,2.0\n",  // Too few fields.
       "# mlq-trace v1 dims=1\n1.0,2.0,3.0,4.0\n",  // Too many fields.
       "# mlq-trace v1 dims=1\nx,2.0,3.0\n",        // Not a number.

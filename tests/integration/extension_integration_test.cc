@@ -130,7 +130,7 @@ TEST(ExtensionIntegrationTest, AutoExpandWithRecencyUnderGrowingDriftingLoad) {
   EXPECT_TRUE(tree.CheckInvariants(&error)) << error;
   EXPECT_TRUE(tree.space().ContainsClosed(Point{0.0, 0.0}));
   EXPECT_GE(tree.space().hi()[0], 80.0);  // Expanded several times.
-  const Prediction p = tree.Predict(Point{center, center});
+  const CostEstimate p = tree.Predict(Point{center, center});
   EXPECT_GE(p.value, 0.0);
   EXPECT_LE(p.value, 100.0);
 }

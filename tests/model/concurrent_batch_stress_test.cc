@@ -69,12 +69,12 @@ int64_t RunStress(CostModel& model) {
     threads.emplace_back([&model, &reliable, r]() {
       Rng rng(2000 + r);
       std::vector<Point> points(kBatch);
-      std::vector<Prediction> out(kBatch);
+      std::vector<CostEstimate> out(kBatch);
       int64_t local_reliable = 0;
       for (int round = 0; round < kRoundsPerReader; ++round) {
         for (Point& p : points) p = WorkloadPoint(rng);
         model.PredictBatch(points, out);
-        for (const Prediction& p : out) {
+        for (const CostEstimate& p : out) {
           // Every slot must be written: value finite-or-zero and count
           // non-negative are cheap structural checks on each element.
           EXPECT_GE(p.count, 0);
@@ -140,10 +140,10 @@ TEST(ConcurrentBatchStressTest, BatchResultsMatchScalarUnderQuiescence) {
   }
   std::vector<Point> points(kBatch);
   for (Point& p : points) p = WorkloadPoint(rng);
-  std::vector<Prediction> batch(kBatch);
+  std::vector<CostEstimate> batch(kBatch);
   model.PredictBatch(points, batch);
   for (size_t i = 0; i < kBatch; ++i) {
-    const Prediction scalar = model.PredictDetailed(points[i]);
+    const CostEstimate scalar = model.PredictStats(points[i]);
     EXPECT_DOUBLE_EQ(batch[i].value, scalar.value);
     EXPECT_EQ(batch[i].count, scalar.count);
     EXPECT_EQ(batch[i].depth, scalar.depth);

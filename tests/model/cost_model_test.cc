@@ -69,12 +69,12 @@ TEST(MlqModelTest, BreakdownAccumulates) {
                    breakdown.insert_seconds + breakdown.compress_seconds);
 }
 
-TEST(MlqModelTest, PredictDetailedExposesDepthAndCount) {
+TEST(MlqModelTest, PredictStatsExposesDepthAndCount) {
   const Box space = Box::Cube(2, 0.0, 100.0);
   MlqModel model(space,
                  MakePaperMlqConfig(InsertionStrategy::kEager, CostKind::kCpu));
   model.Observe(Point{10.0, 10.0}, 5.0);
-  const Prediction p = model.PredictDetailed(Point{10.0, 10.0});
+  const CostEstimate p = model.PredictStats(Point{10.0, 10.0});
   EXPECT_TRUE(p.reliable);
   EXPECT_EQ(p.depth, 6);  // Paper lambda.
   EXPECT_EQ(p.count, 1);

@@ -69,8 +69,8 @@ std::vector<Point> ProbeGrid() {
 
 void ExpectIdenticalPredictions(const CostModel& a, const CostModel& b) {
   for (const Point& p : ProbeGrid()) {
-    const Prediction pa = a.PredictDetailed(p);
-    const Prediction pb = b.PredictDetailed(p);
+    const CostEstimate pa = a.PredictStats(p);
+    const CostEstimate pb = b.PredictStats(p);
     ASSERT_EQ(pa.value, pb.value) << "at " << p.ToString();
     ASSERT_EQ(pa.stddev, pb.stddev);
     ASSERT_EQ(pa.depth, pb.depth);
@@ -127,8 +127,8 @@ TEST_P(DecayDifferentialTest, EnabledButUnadvancedMatchesDisabled) {
   auto reloaded = DeserializeQuadtree(SerializeQuadtree(on.tree()), &error);
   ASSERT_NE(reloaded, nullptr) << error;
   for (const Point& p : ProbeGrid()) {
-    const Prediction a = on.tree().Predict(p);
-    const Prediction b = reloaded->Predict(p);
+    const CostEstimate a = on.tree().Predict(p);
+    const CostEstimate b = reloaded->Predict(p);
     ASSERT_EQ(a.value, b.value);
     ASSERT_EQ(a.count, b.count);
   }

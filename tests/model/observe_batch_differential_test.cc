@@ -78,8 +78,8 @@ void FeedBatched(CostModel& model, const std::vector<Observation>& workload,
 
 void ExpectIdenticalPredictions(const CostModel& a, const CostModel& b) {
   for (const Point& p : ProbeGrid()) {
-    const Prediction pa = a.PredictDetailed(p);
-    const Prediction pb = b.PredictDetailed(p);
+    const CostEstimate pa = a.PredictStats(p);
+    const CostEstimate pb = b.PredictStats(p);
     ASSERT_EQ(pa.value, pb.value) << "at " << p.ToString();
     ASSERT_EQ(pa.stddev, pb.stddev);
     ASSERT_EQ(pa.depth, pb.depth);

@@ -35,8 +35,8 @@ void ExpectTreesPredictIdentically(const MemoryLimitedQuadtree& a,
   for (int i = 0; i < 500; ++i) {
     Point q(a.space().dims());
     for (int d = 0; d < q.dims(); ++d) q[d] = rng.Uniform(0.0, 1000.0);
-    const Prediction pa = a.Predict(q);
-    const Prediction pb = b.Predict(q);
+    const CostEstimate pa = a.Predict(q);
+    const CostEstimate pb = b.Predict(q);
     ASSERT_DOUBLE_EQ(pa.value, pb.value) << q.ToString();
     ASSERT_EQ(pa.depth, pb.depth);
     ASSERT_EQ(pa.count, pb.count);
@@ -101,6 +101,19 @@ TEST(SerializationTest, RejectsBadMagic) {
   std::string error;
   EXPECT_EQ(DeserializeQuadtree(bytes, &error), nullptr);
   EXPECT_EQ(error, "bad magic");
+}
+
+TEST(SerializationTest, RejectsDimsBeyondTreeLimit) {
+  // Byte 6 is the dims field (after the 4-byte magic and 2-byte version).
+  // 8 dims is a valid model space, but a quadtree node tags at most 2^7
+  // quadrants.
+  auto tree = MakeTrainedTree(InsertionStrategy::kEager, 2, 1800, 10, 6);
+  auto bytes = SerializeQuadtree(*tree);
+  ASSERT_EQ(bytes[6], 2);
+  bytes[6] = 8;
+  std::string error;
+  EXPECT_EQ(DeserializeQuadtree(bytes, &error), nullptr);
+  EXPECT_EQ(error, "dims out of range");
 }
 
 TEST(SerializationTest, RejectsTruncation) {

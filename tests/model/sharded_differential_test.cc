@@ -62,8 +62,8 @@ TEST(ShardedDifferentialTest, OneShardIsBitIdenticalToBareModel) {
       reference.Observe(p, value);
       sharded.Observe(p, value);
     } else if (dice < 0.95) {
-      const Prediction a = reference.PredictDetailed(p);
-      const Prediction b = sharded.PredictDetailed(p);
+      const CostEstimate a = reference.PredictStats(p);
+      const CostEstimate b = sharded.PredictStats(p);
       // Bit-identical: same tree, same insert order, same arithmetic.
       ASSERT_EQ(a.value, b.value) << "at op " << i << " point " << p.ToString();
       ASSERT_EQ(a.stddev, b.stddev);

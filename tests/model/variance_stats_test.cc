@@ -1,8 +1,9 @@
-// Differential validation of the variance-aware prediction currency
-// (CostEstimate / PredictStats): the stats API must be a pure superset of
-// the scalar API. For every model and every concurrency decoration,
-// PredictStats(p).value must equal Predict(p) BIT FOR BIT — the refactor's
-// contract is that variance-blind callers observe no change whatsoever.
+// Differential validation of the prediction currency (CostEstimate /
+// PredictStats / PredictBatch). For every model class and every
+// concurrency decoration, the value-only Predict shim must equal
+// PredictStats(p).value BIT FOR BIT, and PredictBatch must return exactly
+// what PredictStats returns point by point, every field included — the
+// contract that lets variance-blind and batched callers observe no change.
 //
 // Also regression-tests the stddev NaN fix: sqrt(SSE/C) on an empty
 // summary used to be sqrt(0/0) = NaN, and cancellation residue in SSE
@@ -10,6 +11,8 @@
 // robust spelling; these tests pin its edge cases.
 
 #include <cmath>
+#include <initializer_list>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,6 +22,7 @@
 #include "model/concurrent_model.h"
 #include "model/global_average_model.h"
 #include "model/mlq_model.h"
+#include "model/neural_model.h"
 #include "model/online_grid_model.h"
 #include "model/sharded_model.h"
 #include "model/static_histogram.h"
@@ -55,39 +59,34 @@ std::vector<Point> TrainingPoints(int n, uint64_t seed) {
   return points;
 }
 
-// Checks the scalar/stats identity on a trained model over a probe set:
-// value bit-identical, stddev finite and non-negative, count/reliable
-// consistent with PredictDetailed.
+// Checks the value shim on a trained model over a probe set: value
+// bit-identical, stddev finite and non-negative, count and depth
+// non-negative.
 void CheckStatsIdentity(const CostModel& model,
                         const std::vector<Point>& probes) {
   for (const Point& p : probes) {
-    const double scalar = model.Predict(p);
     const CostEstimate stats = model.PredictStats(p);
-    EXPECT_EQ(scalar, stats.value);  // Bitwise: == on identical doubles.
+    EXPECT_EQ(model.Predict(p), stats.value);  // Bitwise: == on doubles.
     EXPECT_FALSE(std::isnan(stats.stddev));
     EXPECT_GE(stats.stddev, 0.0);
     EXPECT_GE(stats.count, 0);
-    const Prediction detailed = model.PredictDetailed(p);
-    EXPECT_EQ(detailed.value, stats.value);
-    EXPECT_EQ(detailed.stddev, stats.stddev);
-    EXPECT_EQ(detailed.count, stats.count);
-    EXPECT_EQ(detailed.reliable, stats.reliable);
+    EXPECT_GE(stats.depth, 0);
   }
 }
 
-// Checks that the batched stats path is element-wise identical to the
-// batched scalar path.
+// Checks that the batched path is element-wise identical to the scalar
+// path, field by field.
 void CheckBatchIdentity(const CostModel& model,
                         const std::vector<Point>& probes) {
-  std::vector<Prediction> scalar(probes.size());
-  std::vector<CostEstimate> stats(probes.size());
-  model.PredictBatch(probes, scalar);
-  model.PredictStatsBatch(probes, stats);
+  std::vector<CostEstimate> batch(probes.size());
+  model.PredictBatch(probes, batch);
   for (size_t i = 0; i < probes.size(); ++i) {
-    EXPECT_EQ(scalar[i].value, stats[i].value) << "probe " << i;
-    EXPECT_EQ(scalar[i].stddev, stats[i].stddev) << "probe " << i;
-    EXPECT_EQ(scalar[i].count, stats[i].count) << "probe " << i;
-    EXPECT_EQ(scalar[i].reliable, stats[i].reliable) << "probe " << i;
+    const CostEstimate scalar = model.PredictStats(probes[i]);
+    EXPECT_EQ(batch[i].value, scalar.value) << "probe " << i;
+    EXPECT_EQ(batch[i].stddev, scalar.stddev) << "probe " << i;
+    EXPECT_EQ(batch[i].count, scalar.count) << "probe " << i;
+    EXPECT_EQ(batch[i].reliable, scalar.reliable) << "probe " << i;
+    EXPECT_EQ(batch[i].depth, scalar.depth) << "probe " << i;
   }
 }
 
@@ -191,9 +190,6 @@ TEST(VarianceStatsTest, EmptyTreePredictionHasZeroStddev) {
   MlqConfig config = DiffConfig(InsertionStrategy::kEager, 1800);
   config.beta = 0;
   MlqModel model(space, config);
-  const Prediction p = model.PredictDetailed(Point{500.0, 500.0});
-  EXPECT_FALSE(std::isnan(p.stddev));
-  EXPECT_DOUBLE_EQ(p.stddev, 0.0);
   const CostEstimate e = model.PredictStats(Point{500.0, 500.0});
   EXPECT_FALSE(std::isnan(e.stddev));
   EXPECT_DOUBLE_EQ(e.stddev, 0.0);
@@ -222,28 +218,36 @@ TEST(VarianceStatsTest, GlobalAverageReportsNativeStats) {
   EXPECT_TRUE(stats.reliable);
 }
 
-TEST(VarianceStatsTest, TrainedBaselinesKeepValueIdentity) {
+TEST(VarianceStatsTest, TrainedBaselinesKeepIdentity) {
   const Box space = Box::Cube(2, 0.0, 1000.0);
   const auto train = TrainingPoints(500, 9);
   std::vector<double> costs;
   costs.reserve(train.size());
   for (const Point& p : train) costs.push_back(Surface(p));
 
-  EquiWidthHistogram histogram(space, 1800);
-  histogram.Train(train, costs);
+  EquiWidthHistogram equi_width(space, 1800);
+  equi_width.Train(train, costs);
+  EquiHeightHistogram equi_height(space, 1800);
+  equi_height.Train(train, costs);
+  InfluenceWeightedHistogram influence(space, 1800);
+  influence.Train(train, costs);
   OnlineGridModel grid(space, 1800);
-  for (size_t i = 0; i < train.size(); ++i) grid.Observe(train[i], costs[i]);
+  NeuralCostModel neural(space, 1800);
+  GlobalAverageModel global;
+  for (size_t i = 0; i < train.size(); ++i) {
+    grid.Observe(train[i], costs[i]);
+    neural.Observe(train[i], costs[i]);
+    global.Observe(train[i], costs[i]);
+  }
 
   const auto probes = TrainingPoints(200, 321);
-  for (const Point& p : probes) {
-    const CostEstimate h = histogram.PredictStats(p);
-    EXPECT_EQ(h.value, histogram.Predict(p));
-    EXPECT_FALSE(std::isnan(h.stddev));
-    EXPECT_GE(h.stddev, 0.0);
-    const CostEstimate g = grid.PredictStats(p);
-    EXPECT_EQ(g.value, grid.Predict(p));
-    EXPECT_FALSE(std::isnan(g.stddev));
-    EXPECT_GE(g.stddev, 0.0);
+  for (const CostModel* model :
+       std::initializer_list<const CostModel*>{&equi_width, &equi_height,
+                                               &influence, &grid, &neural,
+                                               &global}) {
+    SCOPED_TRACE(std::string(model->name()));
+    CheckStatsIdentity(*model, probes);
+    CheckBatchIdentity(*model, probes);
   }
 }
 

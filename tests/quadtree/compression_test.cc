@@ -108,7 +108,7 @@ TEST(CompressionTest, PredictionsFallBackToParentAfterCompression) {
   tree.Insert(Point{1.0}, 10.0);
   tree.Insert(Point{7.0}, 50.0);
   tree.Compress();  // Removes everything below the root.
-  const Prediction p = tree.Predict(Point{1.0});
+  const CostEstimate p = tree.Predict(Point{1.0});
   EXPECT_EQ(p.depth, 0);
   EXPECT_DOUBLE_EQ(p.value, 30.0);
 }
@@ -279,7 +279,7 @@ TEST_P(CompressionPropertyTest, BudgetHonoredAndInvariantsHold) {
   for (int i = 0; i < 50; ++i) {
     Point q(dims);
     for (int d = 0; d < dims; ++d) q[d] = rng.Uniform(0.0, 1000.0);
-    const Prediction p = tree.Predict(q);
+    const CostEstimate p = tree.Predict(q);
     EXPECT_GE(p.value, 0.0);
     EXPECT_LE(p.value, 10000.0);
   }

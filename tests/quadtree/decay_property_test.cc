@@ -90,7 +90,7 @@ TEST(DecayPropertyTest, RandomDecayInterleavingsKeepTreeConsistent) {
       if (dice < 0.70) {
         tree.Insert(p, rng.Uniform(0.0, kMaxValue));
       } else if (dice < 0.85) {
-        const Prediction prediction = tree.Predict(p);
+        const CostEstimate prediction = tree.Predict(p);
         ASSERT_TRUE(std::isfinite(prediction.value));
         ASSERT_GE(prediction.value, 0.0);
         ASSERT_LE(prediction.value, kMaxValue * (1.0 + 1e-9));
@@ -174,7 +174,7 @@ TEST(DecayPropertyTest, SharedArenaCompactStepInterleavesWithDecay) {
     CheckSummaries(*t);
     for (int i = 0; i < 50; ++i) {
       Point p{rng.Uniform(0.0, 1000.0), rng.Uniform(0.0, 1000.0)};
-      const Prediction prediction = t->Predict(p);
+      const CostEstimate prediction = t->Predict(p);
       ASSERT_TRUE(std::isfinite(prediction.value));
       ASSERT_GE(prediction.value, 0.0);
     }

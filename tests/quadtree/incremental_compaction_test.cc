@@ -126,8 +126,8 @@ TEST(IncrementalCompactionTest, ConvergesToSameStateAsStopTheWorld) {
   Rng rng(7);
   for (int i = 0; i < 500; ++i) {
     Point p{rng.Uniform(0.0, 1000.0), rng.Uniform(0.0, 1000.0)};
-    const Prediction a = keeper_full->Predict(p);
-    const Prediction b = keeper_step->Predict(p);
+    const CostEstimate a = keeper_full->Predict(p);
+    const CostEstimate b = keeper_step->Predict(p);
     ASSERT_EQ(a.value, b.value);
     ASSERT_EQ(a.count, b.count);
   }

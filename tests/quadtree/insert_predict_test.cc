@@ -22,7 +22,7 @@ MlqConfig BigBudgetConfig(InsertionStrategy strategy, int max_depth = 6) {
 TEST(InsertTest, EmptyTreePredictionIsUnreliableZero) {
   MemoryLimitedQuadtree tree(Box::Cube(2, 0.0, 100.0),
                              BigBudgetConfig(InsertionStrategy::kEager));
-  const Prediction p = tree.Predict(Point{50.0, 50.0});
+  const CostEstimate p = tree.Predict(Point{50.0, 50.0});
   EXPECT_FALSE(p.reliable);
   EXPECT_DOUBLE_EQ(p.value, 0.0);
   EXPECT_EQ(p.count, 0);
@@ -37,7 +37,7 @@ TEST(InsertTest, FirstInsertEnablesPrediction) {
   // Same region: exact value.
   EXPECT_DOUBLE_EQ(tree.Predict(Point{10.0, 10.0}).value, 42.0);
   // Far corner: falls back to the root average, still 42.
-  const Prediction far = tree.Predict(Point{99.0, 99.0});
+  const CostEstimate far = tree.Predict(Point{99.0, 99.0});
   EXPECT_TRUE(far.reliable);
   EXPECT_DOUBLE_EQ(far.value, 42.0);
   EXPECT_EQ(far.depth, 0);
@@ -50,7 +50,7 @@ TEST(InsertTest, EagerPartitionsToMaxDepth) {
   tree.Insert(Point{10.0, 10.0}, 7.0);
   // Every insert materializes the full path: depth 0..5 -> 6 nodes.
   EXPECT_EQ(tree.num_nodes(), 6);
-  const Prediction p = tree.Predict(Point{10.0, 10.0});
+  const CostEstimate p = tree.Predict(Point{10.0, 10.0});
   EXPECT_EQ(p.depth, 5);
 }
 
@@ -135,12 +135,12 @@ TEST(InsertTest, BetaRequiresEnoughPoints) {
   // beta = 2: left leaf still qualifies.
   EXPECT_DOUBLE_EQ(tree.PredictWithBeta(Point{1.0}, 2).value, 15.0);
   // beta = 3: only the root qualifies -> average of all three points.
-  const Prediction root_pred = tree.PredictWithBeta(Point{1.0}, 3);
+  const CostEstimate root_pred = tree.PredictWithBeta(Point{1.0}, 3);
   EXPECT_TRUE(root_pred.reliable);
   EXPECT_EQ(root_pred.depth, 0);
   EXPECT_NEAR(root_pred.value, 130.0 / 3.0, 1e-12);
   // beta = 4: nothing qualifies; unreliable root average.
-  const Prediction none = tree.PredictWithBeta(Point{1.0}, 4);
+  const CostEstimate none = tree.PredictWithBeta(Point{1.0}, 4);
   EXPECT_FALSE(none.reliable);
   EXPECT_NEAR(none.value, 130.0 / 3.0, 1e-12);
 }
@@ -151,13 +151,13 @@ TEST(InsertTest, PredictionStddevReflectsBlockSpread) {
   tree.Insert(Point{1.0}, 10.0);
   tree.Insert(Point{2.0}, 20.0);
   // Left leaf: values {10, 20} -> stddev sqrt(SSE/C) = sqrt(50/2) = 5.
-  const Prediction left = tree.Predict(Point{1.5});
+  const CostEstimate left = tree.Predict(Point{1.5});
   EXPECT_DOUBLE_EQ(left.stddev, 5.0);
   // Single-point block: stddev 0.
   tree.Insert(Point{7.0}, 99.0);
   EXPECT_DOUBLE_EQ(tree.Predict(Point{7.0}).stddev, 0.0);
   // beta above everything: unreliable root fallback still reports spread.
-  const Prediction root = tree.PredictWithBeta(Point{1.0}, 100);
+  const CostEstimate root = tree.PredictWithBeta(Point{1.0}, 100);
   EXPECT_FALSE(root.reliable);
   EXPECT_GT(root.stddev, 0.0);
 }
@@ -248,7 +248,7 @@ TEST_P(InsertPropertyTest, PredictionsAreWithinObservedValueRange) {
   for (int i = 0; i < 100; ++i) {
     Point q(dims);
     for (int d = 0; d < dims; ++d) q[d] = rng.Uniform(0.0, 1000.0);
-    const Prediction pred = tree.Predict(q);
+    const CostEstimate pred = tree.Predict(q);
     EXPECT_GE(pred.value, 100.0);
     EXPECT_LE(pred.value, 200.0);
   }
@@ -311,10 +311,10 @@ TEST(PredictBatchTest, MatchesPerPointPredictions) {
       for (int d = 0; d < dims; ++d) q[d] = rng.Uniform(-200.0, 1200.0);
       queries.push_back(q);
     }
-    std::vector<Prediction> batch(queries.size());
+    std::vector<CostEstimate> batch(queries.size());
     tree.PredictBatch(queries, batch);
     for (size_t i = 0; i < queries.size(); ++i) {
-      const Prediction scalar = tree.Predict(queries[i]);
+      const CostEstimate scalar = tree.Predict(queries[i]);
       ASSERT_DOUBLE_EQ(batch[i].value, scalar.value) << "dims " << dims;
       ASSERT_DOUBLE_EQ(batch[i].stddev, scalar.stddev);
       ASSERT_EQ(batch[i].depth, scalar.depth);
@@ -337,10 +337,10 @@ TEST(PredictBatchTest, ExplicitBetaVariant) {
     queries.push_back(Point{rng.Uniform(0.0, 1000.0),
                             rng.Uniform(0.0, 1000.0)});
   }
-  std::vector<Prediction> batch(queries.size());
+  std::vector<CostEstimate> batch(queries.size());
   tree.PredictBatchWithBeta(queries, batch, /*beta=*/10);
   for (size_t i = 0; i < queries.size(); ++i) {
-    const Prediction scalar = tree.PredictWithBeta(queries[i], 10);
+    const CostEstimate scalar = tree.PredictWithBeta(queries[i], 10);
     ASSERT_DOUBLE_EQ(batch[i].value, scalar.value);
     ASSERT_GE(batch[i].count, 10);
   }

@@ -79,7 +79,7 @@ TEST(InvariantFuzzTest, RandomOpSequencesKeepTreeConsistent) {
       if (dice < 0.80) {
         tree.Insert(p, rng.Uniform(0.0, 10000.0));
       } else if (dice < 0.95) {
-        const Prediction prediction = tree.Predict(p);
+        const CostEstimate prediction = tree.Predict(p);
         ASSERT_GE(prediction.value, 0.0);
         ASSERT_GE(prediction.count, 0);
       } else {

@@ -37,8 +37,8 @@ class ReferenceOracle {
 
   // Deepest block containing `q` with >= beta points; returns its average.
   // Falls back to the root average (reliable = count >= beta) like the tree.
-  Prediction Predict(const Point& q, int64_t beta) const {
-    Prediction best;
+  CostEstimate Predict(const Point& q, int64_t beta) const {
+    CostEstimate best;
     best.reliable = false;
     for (int depth = 0; depth <= max_depth_; ++depth) {
       const Box region = RegionAt(q, depth);
@@ -120,8 +120,8 @@ TEST_P(ReferenceModelTest, TreeMatchesOracleOnRandomWorkloads) {
       for (int probe = 0; probe < 10; ++probe) {
         Point q(dims);
         for (int d = 0; d < dims; ++d) q[d] = rng.Uniform(0.0, 1024.0);
-        const Prediction actual = tree.PredictWithBeta(q, beta);
-        const Prediction expected = oracle.Predict(q, beta);
+        const CostEstimate actual = tree.PredictWithBeta(q, beta);
+        const CostEstimate expected = oracle.Predict(q, beta);
         ASSERT_EQ(actual.reliable, expected.reliable)
             << "after " << i + 1 << " inserts at " << q.ToString();
         ASSERT_EQ(actual.depth, expected.depth)
@@ -163,8 +163,8 @@ TEST_P(ReferenceModelTest, ClusteredWorkloadsMatchToo) {
     for (int d = 0; d < dims; ++d) {
       q[d] = std::clamp(rng.Gaussian(1.0, 1.0), -8.0, 8.0);
     }
-    const Prediction actual = tree.PredictWithBeta(q, beta);
-    const Prediction expected = oracle.Predict(q, beta);
+    const CostEstimate actual = tree.PredictWithBeta(q, beta);
+    const CostEstimate expected = oracle.Predict(q, beta);
     ASSERT_EQ(actual.depth, expected.depth) << q.ToString();
     ASSERT_EQ(actual.count, expected.count) << q.ToString();
     ASSERT_NEAR(actual.value, expected.value, 1e-9) << q.ToString();

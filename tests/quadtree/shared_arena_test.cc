@@ -80,8 +80,8 @@ TEST(SharedArenaTest, SharedTreeMatchesPrivateTree) {
   Rng rng(99);
   for (int i = 0; i < 500; ++i) {
     Point p{rng.Uniform(0.0, 1000.0), rng.Uniform(0.0, 1000.0)};
-    const Prediction a = private_tree.Predict(p);
-    const Prediction b = shared_a.Predict(p);
+    const CostEstimate a = private_tree.Predict(p);
+    const CostEstimate b = shared_a.Predict(p);
     ASSERT_EQ(a.value, b.value);
     ASSERT_EQ(a.count, b.count);
   }
@@ -172,7 +172,7 @@ TEST(SharedArenaTest, CompactReclaimsWithoutChangingPredictions) {
   }
 
   const std::vector<uint8_t> bytes_before = SerializeQuadtree(keeper);
-  std::vector<Prediction> before;
+  std::vector<CostEstimate> before;
   Rng rng(1);
   std::vector<Point> probes;
   for (int i = 0; i < 400; ++i) {
@@ -193,7 +193,7 @@ TEST(SharedArenaTest, CompactReclaimsWithoutChangingPredictions) {
   ASSERT_TRUE(keeper.CheckInvariants(&error)) << error;
   EXPECT_EQ(SerializeQuadtree(keeper), bytes_before);
   for (size_t i = 0; i < probes.size(); ++i) {
-    const Prediction after = keeper.Predict(probes[i]);
+    const CostEstimate after = keeper.Predict(probes[i]);
     ASSERT_EQ(after.value, before[i].value);
     ASSERT_EQ(after.count, before[i].count);
   }
@@ -252,7 +252,7 @@ TEST(SharedArenaTest, ConcurrentChurnThreeTrees) {
       Point p{rng.Uniform(0.0, 1000.0), rng.Uniform(0.0, 1000.0)};
       tree->Insert(p, Surface(p, phase));
       if ((i & 63) == 0) {
-        const Prediction pred = tree->Predict(p);
+        const CostEstimate pred = tree->Predict(p);
         if (!std::isfinite(pred.value)) {
           failed.store(true, std::memory_order_relaxed);
         }

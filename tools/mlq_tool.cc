@@ -776,7 +776,7 @@ int RunPredict(int argc, char** argv) {
     }
     p[d] = std::atof(field.c_str());
   }
-  const Prediction prediction = tree->Predict(p);
+  const CostEstimate prediction = tree->Predict(p);
   std::printf(
       "predict%s = %.6g +/- %.6g  (depth %d, %lld supporting points%s)\n",
       p.ToString().c_str(), prediction.value, prediction.stddev,
@@ -1193,7 +1193,7 @@ int RunSelfTest() {
       std::fprintf(stderr, "selftest: model load failed: %s\n", error.c_str());
       return 1;
     }
-    const Prediction p = tree->Predict(Point{500.0, 500.0, 500.0, 500.0});
+    const CostEstimate p = tree->Predict(Point{500.0, 500.0, 500.0, 500.0});
     if (p.value < 0.0) {
       std::fprintf(stderr, "selftest: nonsense prediction\n");
       return 1;
